@@ -5,6 +5,7 @@
 //! seconds, the ×1024 "paper-equivalent" seconds, GC fractions, peak
 //! heaps and OME markers.
 
+pub mod chaos;
 pub mod metricsfmt;
 pub mod sweep;
 pub mod tracefmt;

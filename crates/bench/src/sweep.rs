@@ -826,6 +826,13 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Tests that arm or disarm the process-global tracer and metrics
+    /// planes (or change the cadence) serialize on this lock.
+    fn planes() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn outcomes_keep_spec_order() {
         let specs: Vec<RunSpec<'_, usize>> = (0..16usize)
@@ -886,6 +893,7 @@ mod tests {
 
     #[test]
     fn trace_flag_parsing() {
+        let _planes = planes();
         // Note: a hit arms the global tracer; disarm before leaving so
         // other tests in this binary see the default-off state.
         let mut args = vec!["--quick".to_string(), "--trace".into(), "out.json".into()];
@@ -903,6 +911,7 @@ mod tests {
     #[test]
     fn traced_sweep_writes_chrome_and_jsonl() {
         use simcore::{SimDuration, SimTime};
+        let _planes = planes();
         let dir = std::env::temp_dir().join(format!("itask_sweeptrace_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         tracer::enable();
@@ -951,6 +960,7 @@ mod tests {
 
     #[test]
     fn metrics_flag_parsing() {
+        let _planes = planes();
         // Note: a hit arms the global registry; disarm before leaving
         // so other tests in this binary see the default-off state.
         let mut args = vec![
@@ -996,8 +1006,7 @@ mod tests {
     #[test]
     fn trace_and_metrics_compose_in_one_sweep() {
         use simcore::{NodeId, SimDuration, SimTime};
-        // Arms both global planes: serialize against the other arming
-        // tests in this binary.
+        let _planes = planes();
         let dir = std::env::temp_dir().join(format!("itask_sweepboth_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         tracer::enable();

@@ -6,11 +6,16 @@
 //! pause accounting must agree exactly with the profiler's GC vtime
 //! and the tracer's GC span durations — three instruments, one number.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
-use itask_bench::metricsfmt;
+use apps::hyracks_apps::wc;
 use itask_bench::tracefmt::{self, Json};
+use itask_bench::{chaos, metricsfmt};
+use simcore::metrics::{self, MetricOp};
+use simcore::tracer::{self, Event, TraceData};
+use simcore::SimDuration;
 
 /// One metered run's artifacts.
 struct Artifacts {
@@ -280,4 +285,62 @@ fn metrics_compose_with_trace_and_profile() {
             run.label
         );
     }
+}
+
+/// Runs `job` under a fresh tracer buffer and returns its harvest.
+fn harvest<T>(job: impl FnOnce() -> T) -> (T, Vec<Event>) {
+    tracer::begin_run();
+    let out = job();
+    (out, tracer::take_run().expect("metrics arm the run buffer"))
+}
+
+/// Cost bound: replaying the metered `faults --wc-only` sweep
+/// in-process, no two harvested counter/gauge events of one run share
+/// `(stream, node, metric, cadence cell)`. The harvest is O(cells), not
+/// O(updates): the shuffle's per-transfer `net.*` updates never reach
+/// it one by one.
+#[test]
+fn metered_faults_wc_harvests_one_event_per_cell() {
+    metrics::enable();
+    let (reg, reg_events) = harvest(|| wc::run_regular(chaos::SIZE, &chaos::params()));
+    let (it, it_events) = harvest(|| wc::run_itask(chaos::SIZE, &chaos::params()));
+    let mut runs = vec![
+        ("clean reg".to_string(), reg_events),
+        ("clean itask".to_string(), it_events),
+    ];
+    let mid = SimDuration::from_nanos(it.report.elapsed.min(reg.report.elapsed).as_nanos() / 2);
+    for (label, plan) in chaos::schedules(mid) {
+        let mut p = chaos::params();
+        p.fault_plan = Some(plan);
+        runs.push((
+            format!("{label} reg"),
+            harvest(|| wc::run_regular(chaos::SIZE, &p)).1,
+        ));
+        runs.push((
+            format!("{label} itask"),
+            harvest(|| wc::run_itask(chaos::SIZE, &p)).1,
+        ));
+    }
+    metrics::disable();
+
+    let cadence = metrics::cadence_ns();
+    let mut cells = 0;
+    for (label, events) in &runs {
+        let mut seen = BTreeSet::new();
+        for e in events {
+            let TraceData::Metric { metric, op } = e.data else {
+                continue;
+            };
+            if matches!(op, MetricOp::Observe(_)) {
+                continue;
+            }
+            let key = (e.id.0 >> 32, e.node, metric, e.at.as_nanos() / cadence);
+            assert!(
+                seen.insert(key),
+                "{label}: two harvested events for (stream, node, metric, cell) {key:?}"
+            );
+        }
+        cells += seen.len();
+    }
+    assert!(cells > 0, "the metered sweep harvested no metric events");
 }

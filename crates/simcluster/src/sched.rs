@@ -410,9 +410,12 @@ impl NodeSim {
                 self.last_metered_threads = running;
                 metrics::gauge_set(node, Metric::SchedRunnable, self.node.now, running as i64);
             }
-            // Quanta and heap occupancy batch per cadence cell —
-            // per-round emission would swamp the buffers on long runs.
-            // A run's final partial cell is deliberately unflushed.
+            // Quanta and heap occupancy are emitted at the first round
+            // of each cadence cell. The tracer buffers aggregate per
+            // cell anyway, so this no longer bounds their size; it
+            // stays because its samples (the heap as of a cell's first
+            // round, the run's final partial cell left unflushed) are
+            // pinned by goldens.
             self.pending_quanta += report.stepped as u64;
             let cell = metrics::cell_of(self.node.now);
             if Some(cell) != self.last_metric_cell {

@@ -26,10 +26,24 @@
 //! without — each flag combination is self-consistent across
 //! jobs/shards.
 //!
+//! Cost contract: a buffer never holds more than one counter/gauge
+//! event per `(node, metric, cadence cell)`. [`CellIndex`] folds each
+//! update into the cell's aggregate in place as it is emitted (or
+//! absorbed from a node's stream segment): adds sum, and a gauge set
+//! keeps the write with the largest `(time, id)` — the one the harvest
+//! merge would order last. The fold only reads a key's value at cell
+//! ends, so the aggregate folds to the same bytes as the raw updates,
+//! while a metered run harvests O(cells) events instead of O(updates).
+//! Every update still draws its own stream id, so co-armed trace ids
+//! do not move, and aggregates in a discarded (rewound) overlay vanish
+//! with it. Histogram observations stay raw events: sketches must see
+//! every sample in merged order.
+//!
 //! Disabled cost: every update entry point is a single relaxed atomic
 //! load, exactly like the tracer and profiler.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::ids::NodeId;
@@ -235,6 +249,77 @@ pub fn observe(node: Option<NodeId>, metric: Metric, at: SimTime, v: u64) {
     }
 }
 
+/// Per-buffer index of the pre-aggregated metric events: each tracer
+/// buffer (the run buffer and every stream overlay) owns one.
+///
+/// Keys are `(node, metric, cadence cell)`, the cell taken at the
+/// cadence in force at emission. A key's first counter/gauge update is
+/// appended as an ordinary event; later updates of the same op kind
+/// fold into it in place, and the aggregate carries the `(time, id)`
+/// of its latest update. A key-cell that mixes op kinds (a set after
+/// adds, or an add after sets) stops aggregating: that update and every
+/// later one in this buffer stay raw. Dropping a set that a later set
+/// overwrites is always exact; summing adds is exact unless a set on
+/// the same key-cell, from this or another buffer, is stamped between
+/// them. The registry's gauges are each driven by sets alone or by adds
+/// alone, so that case never arises.
+#[derive(Default)]
+pub(crate) struct CellIndex(HashMap<(u32, Metric, u64), Option<usize>>);
+
+impl CellIndex {
+    /// Appends `e` to `events`, or folds it into its key-cell's
+    /// aggregate there. Non-metric events and histogram observations
+    /// are always appended.
+    pub(crate) fn push(&mut self, events: &mut Vec<Event>, e: Event) {
+        let (metric, op) = match e.data {
+            TraceData::Metric { metric, op } if !matches!(op, MetricOp::Observe(_)) => (metric, op),
+            _ => {
+                events.push(e);
+                return;
+            }
+        };
+        let key = (e.node.map_or(u32::MAX, |n| n.0), metric, cell_of(e.at));
+        match self.0.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(Some(events.len()));
+                events.push(e);
+            }
+            Entry::Occupied(mut slot) => match *slot.get() {
+                Some(i) if merge(&mut events[i], &e, op) => {}
+                _ => {
+                    slot.insert(None);
+                    events.push(e);
+                }
+            },
+        }
+    }
+}
+
+/// Folds metric update `e` (carrying `op`) into aggregate `agg` of the
+/// same key-cell. Returns `false`, leaving `agg` untouched, when their
+/// op kinds differ.
+fn merge(agg: &mut Event, e: &Event, op: MetricOp) -> bool {
+    let TraceData::Metric { op: into, .. } = &mut agg.data else {
+        unreachable!("cell index entries point at metric events");
+    };
+    let later = (e.at, e.id) > (agg.at, agg.id);
+    match (into, op) {
+        (MetricOp::CounterAdd(sum), MetricOp::CounterAdd(n)) => *sum = sum.wrapping_add(n),
+        (MetricOp::GaugeAdd(sum), MetricOp::GaugeAdd(d)) => *sum = sum.wrapping_add(d),
+        (MetricOp::GaugeSet(v), MetricOp::GaugeSet(w)) => {
+            if later {
+                *v = w;
+            }
+        }
+        _ => return false,
+    }
+    if later {
+        agg.at = e.at;
+        agg.id = e.id;
+    }
+    true
+}
+
 /// One sampled point of a folded run: the state of `(node, metric)` at
 /// gridpoint `at` (counters cumulative, gauges instantaneous).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,7 +391,10 @@ struct CellState {
 /// quantiles identical at any shard count.
 ///
 /// The input must be in the tracer's harvest order (`take_run`'s
-/// `(time, node, id)` sort); non-metric events are ignored.
+/// `(time, node, id)` sort); non-metric events are ignored. A harvest
+/// arrives pre-aggregated per emission cell ([`CellIndex`]), so fold it
+/// at the cadence it was emitted at (or a multiple of it): the harness
+/// passes [`cadence_ns`].
 pub fn fold(events: &[Event], cadence_ns: u64) -> RunMetrics {
     let cadence = cadence_ns.max(1);
     let mut states: BTreeMap<(i64, Metric), CellState> = BTreeMap::new();
@@ -699,6 +787,102 @@ mod tests {
         assert!(om.contains("serve_latency_ns{run=\"0\",label=\"quick \\\"wc\\\"\",node=\"-1\",quantile=\"0.5\"} 500"));
         assert!(om.ends_with("# EOF\n"));
         assert!(!om.contains("smr_commits"), "absent metrics emit no family");
+    }
+
+    /// Pushes `events` through one buffer's [`CellIndex`] and returns
+    /// what the buffer would hold.
+    fn aggregated(events: &[Event]) -> Vec<Event> {
+        let mut index = CellIndex::default();
+        let mut out = Vec::new();
+        for e in events {
+            index.push(&mut out, e.clone());
+        }
+        out
+    }
+
+    fn folded(mut events: Vec<Event>, cadence: u64) -> String {
+        events.sort_by_key(|e| (e.at, e.node.map_or(u32::MAX, |n| n.0), e.id));
+        jsonl_run(0, "t", &fold(&events, cadence))
+    }
+
+    #[test]
+    fn cell_index_keeps_one_event_per_key_cell() {
+        let events = vec![
+            ev(1, Some(0), 10, Metric::NetBytes, MetricOp::CounterAdd(5)),
+            ev(2, Some(0), 900, Metric::NetBytes, MetricOp::CounterAdd(7)),
+            // A future-stamped drop two cells on is its own key-cell.
+            ev(
+                3,
+                Some(0),
+                2500,
+                Metric::NetInflightBytes,
+                MetricOp::GaugeAdd(-4),
+            ),
+            ev(
+                4,
+                Some(0),
+                20,
+                Metric::NetInflightBytes,
+                MetricOp::GaugeAdd(4),
+            ),
+            // The later-stamped set wins even though it arrived first.
+            ev(5, Some(1), 700, Metric::MemLiveBytes, MetricOp::GaugeSet(9)),
+            ev(6, Some(1), 300, Metric::MemLiveBytes, MetricOp::GaugeSet(2)),
+            ev(7, None, 40, Metric::ServeLatencyNs, MetricOp::Observe(3)),
+            ev(8, None, 50, Metric::ServeLatencyNs, MetricOp::Observe(4)),
+        ];
+        let out = at_cadence(1000, || aggregated(&events));
+        let ops: Vec<(u64, u64, MetricOp)> = out
+            .iter()
+            .map(|e| match e.data {
+                TraceData::Metric { op, .. } => (e.id.0, e.at.as_nanos(), op),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(
+            ops,
+            vec![
+                (2, 900, MetricOp::CounterAdd(12)),
+                (3, 2500, MetricOp::GaugeAdd(-4)),
+                (4, 20, MetricOp::GaugeAdd(4)),
+                (5, 700, MetricOp::GaugeSet(9)),
+                (7, 40, MetricOp::Observe(3)),
+                (8, 50, MetricOp::Observe(4)),
+            ]
+        );
+        assert_eq!(folded(out, 1000), folded(events, 1000));
+    }
+
+    #[test]
+    fn mixed_ops_on_a_key_cell_fall_back_to_raw() {
+        let key = Metric::IrsSignal;
+        // Set then adds, and adds then a later set: the key-cell stops
+        // aggregating at the first op of the other kind.
+        let events = vec![
+            ev(1, Some(0), 10, key, MetricOp::GaugeSet(5)),
+            ev(2, Some(0), 20, key, MetricOp::GaugeSet(6)),
+            ev(3, Some(0), 30, key, MetricOp::GaugeAdd(1)),
+            ev(4, Some(0), 40, key, MetricOp::GaugeAdd(1)),
+            ev(5, Some(1), 1010, key, MetricOp::GaugeAdd(2)),
+            ev(6, Some(1), 1020, key, MetricOp::GaugeAdd(3)),
+            ev(7, Some(1), 1030, key, MetricOp::GaugeSet(1)),
+            ev(8, Some(1), 1040, key, MetricOp::GaugeAdd(4)),
+        ];
+        let out = at_cadence(1000, || aggregated(&events));
+        let ids: Vec<u64> = out.iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, vec![2, 3, 4, 6, 7, 8]);
+        assert_eq!(folded(out, 1000), folded(events, 1000));
+    }
+
+    /// Runs `f` at cadence `ns`: [`CellIndex`] keys cells at the
+    /// process-wide cadence, so tests that set it serialize here.
+    fn at_cadence<T>(ns: u64, f: impl FnOnce() -> T) -> T {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_cadence_ns(ns);
+        let out = f();
+        set_cadence_ns(DEFAULT_CADENCE_NS);
+        out
     }
 
     #[test]

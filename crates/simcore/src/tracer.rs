@@ -30,6 +30,11 @@
 //! barriers and the usual `(time, node, id)` merge yields identical
 //! bytes whether rounds ran inline or fanned out.
 //!
+//! Metric updates ([`crate::metrics`]) share these buffers, but each
+//! buffer folds them into one event per `(node, metric, cadence cell)`
+//! as they arrive, so only trace events and histogram samples grow a
+//! buffer per emission.
+//!
 //! Like [`crate::prof`], the tracer is process-global and disabled by
 //! default; every emission entry point is a single relaxed atomic load
 //! when disabled, cheap enough for simulator hot paths.
@@ -491,14 +496,44 @@ pub type RunTrace = Vec<Event>;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
-    static RUN: RefCell<Option<RunBuf>> = const { RefCell::new(None) };
+    static RUN: RefCell<Option<Buf>> = const { RefCell::new(None) };
     static STREAM: RefCell<Option<StreamBuf>> = const { RefCell::new(None) };
 }
 
+/// One event buffer: the run buffer (stream 0) or a stream overlay.
 #[derive(Default)]
-struct RunBuf {
+struct Buf {
+    /// Last sequence number drawn.
     next: u64,
     events: Vec<Event>,
+    /// Where each metric key-cell's aggregate sits in `events`.
+    cells: crate::metrics::CellIndex,
+}
+
+impl Buf {
+    /// Draws the next id of `stream` and records the event under it.
+    fn emit(
+        &mut self,
+        stream: u32,
+        node: Option<NodeId>,
+        scope: Option<u64>,
+        at: SimTime,
+        dur: SimDuration,
+        data: TraceData,
+    ) -> EventId {
+        self.next += 1;
+        let id = EventId(((stream as u64) << 32) | self.next);
+        let event = Event {
+            id,
+            node,
+            scope,
+            at,
+            dur,
+            data,
+        };
+        self.cells.push(&mut self.events, event);
+        id
+    }
 }
 
 /// A per-node stream overlay: while installed, emissions on this thread
@@ -506,8 +541,7 @@ struct RunBuf {
 /// buffer's driver sequence.
 struct StreamBuf {
     stream: u32,
-    next: u64,
-    events: Vec<Event>,
+    buf: Buf,
 }
 
 /// Turns tracing on process-wide. Emission still requires a per-run
@@ -542,7 +576,7 @@ pub(crate) fn armed() -> bool {
 /// sweep executor calls this immediately before each run closure.
 pub fn begin_run() {
     if armed() {
-        RUN.with(|r| *r.borrow_mut() = Some(RunBuf::default()));
+        RUN.with(|r| *r.borrow_mut() = Some(Buf::default()));
     }
 }
 
@@ -567,8 +601,10 @@ pub fn stream_begin(stream: u32, next: u64) {
         STREAM.with(|s| {
             *s.borrow_mut() = Some(StreamBuf {
                 stream,
-                next,
-                events: Vec::new(),
+                buf: Buf {
+                    next,
+                    ..Buf::default()
+                },
             })
         });
     }
@@ -580,13 +616,14 @@ pub fn stream_begin(stream: u32, next: u64) {
 /// callers thread `next` back through unconditionally.
 pub fn stream_take(next: u64) -> (u64, Vec<Event>) {
     match STREAM.with(|s| s.borrow_mut().take()) {
-        Some(buf) => (buf.next, buf.events),
+        Some(s) => (s.buf.next, s.buf.events),
         None => (next, Vec::new()),
     }
 }
 
 /// Appends already-stamped events (a harvested stream segment) into the
-/// current run's buffer. The merge order is recovered at [`take_run`];
+/// current run's buffer, folding metric aggregates into the run's own
+/// per-cell aggregates. The merge order is recovered at [`take_run`];
 /// segments may be absorbed in any order. Dropped while disabled or
 /// outside a run.
 pub fn absorb(events: Vec<Event>) {
@@ -595,7 +632,9 @@ pub fn absorb(events: Vec<Event>) {
     }
     RUN.with(|r| {
         if let Some(buf) = r.borrow_mut().as_mut() {
-            buf.events.extend(events);
+            for e in events {
+                buf.cells.push(&mut buf.events, e);
+            }
         }
     });
 }
@@ -629,43 +668,14 @@ pub(crate) fn emit_raw(
     // A stream overlay (a node round executing under the shard
     // executor) captures the event with a namespaced id; otherwise the
     // run buffer's driver sequence (stream 0) applies.
-    let streamed = STREAM.with(|s| {
-        let mut s = s.borrow_mut();
-        s.as_mut().map(|buf| {
-            buf.next += 1;
-            let id = EventId(((buf.stream as u64) << 32) | buf.next);
-            buf.events.push(Event {
-                id,
-                node,
-                scope,
-                at,
-                dur,
-                data: data.clone(),
-            });
-            id
-        })
-    });
-    if let Some(id) = streamed {
-        return id;
-    }
-    RUN.with(|r| {
-        let mut r = r.borrow_mut();
-        match r.as_mut() {
-            Some(buf) => {
-                buf.next += 1;
-                let id = EventId(buf.next);
-                buf.events.push(Event {
-                    id,
-                    node,
-                    scope,
-                    at,
-                    dur,
-                    data,
-                });
-                id
-            }
-            None => EventId::NONE,
+    STREAM.with(|s| {
+        if let Some(s) = s.borrow_mut().as_mut() {
+            return s.buf.emit(s.stream, node, scope, at, dur, data);
         }
+        RUN.with(|r| match r.borrow_mut().as_mut() {
+            Some(buf) => buf.emit(0, node, scope, at, dur, data),
+            None => EventId::NONE,
+        })
     })
 }
 
