@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use simcore::metrics::{Metric, MetricKind};
 use simcore::sketch::{fmt_ms, SketchSnapshot};
 
-use crate::tracefmt::{parse, Json};
+use crate::tracefmt::{node_name, parse, Json};
 
 /// One sampled gridpoint of a dump.
 #[derive(Clone, Debug)]
@@ -142,14 +142,6 @@ pub fn load_jsonl(text: &str) -> Result<Vec<MetricsRun>, String> {
         }
     }
     Ok(runs)
-}
-
-fn node_name(node: i64) -> String {
-    if node < 0 {
-        "cluster".to_string()
-    } else {
-        format!("node{node}")
-    }
 }
 
 /// Per-series (node-keyed) rollup of one metric within a run.

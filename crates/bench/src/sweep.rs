@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use simcore::tracer::json_escape;
 use simcore::{metrics, prof, tracer};
 
 /// One schedulable unit of a sweep: a label (for progress lines and
@@ -805,21 +806,6 @@ fn results_dir() -> std::path::PathBuf {
     std::env::var_os("ITASK_BENCH_RESULTS")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("bench_results"))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use simcore::tracer::json_escape;
 use simserve::sketch::{fmt_ms, QuantileSketch};
 
 /// A parsed JSON value.
@@ -484,7 +485,8 @@ fn summarize(run: &TraceRun) -> RunSummary {
     s
 }
 
-fn node_name(node: i64) -> String {
+/// Display name of a dumped node id (`-1` is the cluster).
+pub(crate) fn node_name(node: i64) -> String {
     if node < 0 {
         "cluster".to_string()
     } else {
@@ -816,22 +818,6 @@ pub fn diff(a: &[TraceRun], b: &[TraceRun]) -> String {
     out
 }
 
-/// Minimal JSON string escaping for labels and kind names.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a loaded trace as a Perfetto-compatible Chrome trace-event
 /// document with *causal async spans*.
 ///
@@ -861,7 +847,7 @@ pub fn perfetto(runs: &[TraceRun]) -> String {
         push(
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                esc(&run.label)
+                json_escape(&run.label)
             ),
             &mut out,
         );
@@ -886,7 +872,7 @@ pub fn perfetto(runs: &[TraceRun]) -> String {
             let row = if e.dur == 0 {
                 format!(
                     "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"args\":{{\"id\":{}}}}}",
-                    esc(&e.kind),
+                    json_escape(&e.kind),
                     e.node,
                     e.ts,
                     e.id,
@@ -894,7 +880,7 @@ pub fn perfetto(runs: &[TraceRun]) -> String {
             } else {
                 format!(
                     "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"id\":{}}}}}",
-                    esc(&e.kind),
+                    json_escape(&e.kind),
                     e.node,
                     e.ts,
                     e.dur,
@@ -909,7 +895,7 @@ pub fn perfetto(runs: &[TraceRun]) -> String {
             let Some(c) = by_id.get(&cause) else {
                 continue;
             };
-            let name = esc(&format!("{}->{}", c.kind, e.kind));
+            let name = json_escape(&format!("{}->{}", c.kind, e.kind));
             push(
                 format!(
                     "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"b\",\"id\":\"0x{:x}\",\"pid\":{pid},\"tid\":{},\"ts\":{}}}",

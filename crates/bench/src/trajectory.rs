@@ -16,6 +16,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use simcore::tracer::json_escape;
+
 use crate::tracefmt::{parse, Json};
 
 /// One `(bin, label)` wall-time entry.
@@ -74,22 +76,6 @@ pub fn parse_sweeps(text: &str) -> Result<Vec<Entry>, String> {
         .collect())
 }
 
-/// Minimal JSON string escaping for bin names and labels.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a trajectory baseline as pretty-printed JSON (one entry per
 /// line, `(bin, label)` order — diffs in review stay line-per-run).
 pub fn render(entries: &[Entry]) -> String {
@@ -99,8 +85,8 @@ pub fn render(entries: &[Entry]) -> String {
         let _ = writeln!(
             out,
             "    {{\"bin\":\"{}\",\"label\":\"{}\",\"wall_ms\":{}}}{comma}",
-            esc(&e.bin),
-            esc(&e.label),
+            json_escape(&e.bin),
+            json_escape(&e.label),
             e.wall_ms,
         );
     }

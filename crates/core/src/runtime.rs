@@ -20,8 +20,9 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use simcluster::NodeSim;
-use simcore::tracer::EventId;
-use simcore::{ByteSize, PartitionId, SimResult, TaskId, ThreadId};
+use simcore::metrics::{self, Metric};
+use simcore::tracer::{self, EventId, TraceData};
+use simcore::{ByteSize, NodeId, PartitionId, SimDuration, SimResult, SimTime, TaskId, ThreadId};
 
 use crate::graph::TaskGraph;
 use crate::manager::{serialization_order, serialize_partition_mode, ManagerConfig, SerializeMode};
@@ -30,7 +31,6 @@ use crate::partition::PartitionBox;
 use crate::queue::PartitionQueue;
 use crate::scheduler::{pick_activation, pick_victim, Activation, RunningInstance, VictimPolicy};
 use crate::stats::IrsStats;
-use crate::trace::{IrsEvent, IrsTrace};
 use crate::worker::ItaskWorker;
 
 /// A result that has left the ITask runtime (component 4(a) of Figure 1).
@@ -119,8 +119,9 @@ pub(crate) struct IrsShared {
     pub(crate) serialize_free_pct: u8,
     /// Copy of the partition manager's serialization target.
     pub(crate) serialize_mode: SerializeMode,
-    /// Structured decision trace (disabled unless requested).
-    pub(crate) trace: IrsTrace,
+    /// `(node, scope)` origin stamped onto every recorded decision
+    /// (the IRS refreshes the node each tick).
+    origin: (Option<NodeId>, Option<u64>),
     /// Tracer id of the most recent REDUCE/GROW signal — the causal
     /// root victim-marks and pressure serializations link back to.
     pub(crate) last_signal: EventId,
@@ -147,13 +148,64 @@ impl IrsShared {
             pressure_hint: None,
             serialize_free_pct: 40,
             serialize_mode: SerializeMode::Disk,
-            trace: IrsTrace::new(),
+            origin: (None, None),
             last_signal: EventId::NONE,
             victim_marks: BTreeMap::new(),
             interrupt_origin: BTreeMap::new(),
             next_partition: first_partition_id,
             next_instance: 0,
         }
+    }
+
+    /// The decision funnel: every IRS decision (signal, activation,
+    /// serialization, victim mark, interrupt, salvage, corruption
+    /// recovery) is recorded here exactly once. It bumps the matching
+    /// [`IrsStats`] fields, emits the event stamped with the IRS's
+    /// `(node, scope)` origin, and updates the `irs.*` metrics.
+    /// Returns the tracer id (NONE while tracing is off), for use as a
+    /// causal link downstream.
+    fn record(&mut self, at: SimTime, data: TraceData) -> EventId {
+        let (node, scope) = self.origin;
+        let st = &mut self.stats;
+        // Stats read the payload before it moves into the tracer; the
+        // metric updates follow the event so their ids come after its id.
+        let mut signal = None;
+        let mut serialized = None;
+        let mut interrupted = false;
+        match &data {
+            TraceData::Signal { reduce } => signal = Some(if *reduce { -1 } else { 1 }),
+            TraceData::Activated { .. } => st.grows += 1,
+            TraceData::Serialized { freed, .. } => {
+                st.serializations += 1;
+                st.reclaim.lazy_serialized += ByteSize(*freed);
+                serialized = Some(*freed);
+            }
+            TraceData::Interrupted { emergency, .. } => {
+                if *emergency {
+                    st.emergency_interrupts += 1;
+                } else {
+                    st.interrupts += 1;
+                }
+                interrupted = true;
+            }
+            TraceData::CrashSalvaged { .. } => st.crash_salvaged_instances += 1,
+            // Corruption recoveries are counted per rebuild next to the
+            // deserialization that absorbed them; the event marks the read.
+            _ => {}
+        }
+        let id = tracer::emit(node, scope, at, SimDuration::ZERO, data);
+        if let Some(delta) = signal {
+            self.last_signal = id;
+            metrics::gauge_add(node, Metric::IrsSignal, at, delta);
+        }
+        if let Some(freed) = serialized {
+            metrics::counter_add(node, Metric::IrsSerialized, at, 1);
+            metrics::counter_add(node, Metric::IrsSerializedBytes, at, freed);
+        }
+        if interrupted {
+            metrics::counter_add(node, Metric::IrsInterrupts, at, 1);
+        }
+        id
     }
 }
 
@@ -199,27 +251,11 @@ impl IrsHandle {
         self.0.lock().unwrap().serialize_mode
     }
 
-    /// Records a write-behind serialization.
-    pub(crate) fn note_serialized_at_birth(&self, bytes: ByteSize) {
-        let mut s = self.0.lock().unwrap();
-        s.stats.serializations += 1;
-        s.stats.reclaim.lazy_serialized += bytes;
-    }
-
-    /// Appends to the decision trace (no-op unless tracing is enabled).
-    pub(crate) fn trace(&self, at: simcore::SimTime, event: IrsEvent) {
-        self.0.lock().unwrap().trace.record(at, event);
-    }
-
-    /// Appends to the decision trace with a causal link, returning the
-    /// unified-tracer event id (NONE when global tracing is off).
-    pub(crate) fn trace_linked(
-        &self,
-        at: simcore::SimTime,
-        event: IrsEvent,
-        cause: EventId,
-    ) -> EventId {
-        self.0.lock().unwrap().trace.record_linked(at, event, cause)
+    /// Records one IRS decision through the funnel: stats, trace event
+    /// and `irs.*` metrics in one call. Returns the tracer id (NONE
+    /// while tracing is off).
+    pub(crate) fn record(&self, at: SimTime, data: TraceData) -> EventId {
+        self.0.lock().unwrap().record(at, data)
     }
 
     /// Consumes the victim-mark event recorded for `instance`'s thread,
@@ -420,26 +456,11 @@ impl Irs {
         self.handle.0.lock().unwrap().queue.drain_all()
     }
 
-    /// Enables the structured decision trace.
-    pub fn enable_trace(&mut self) {
-        self.handle.0.lock().unwrap().trace.enable();
-    }
-
-    /// A snapshot of the decision trace recorded so far.
-    pub fn trace(&self) -> IrsTrace {
-        self.handle.0.lock().unwrap().trace.clone()
-    }
-
     /// The controller step: call between scheduling rounds.
     pub fn tick(&mut self, sim: &mut NodeSim) -> SimResult<()> {
-        // Stamp the (node, scope) origin onto everything this tick
-        // forwards into the unified tracer.
-        self.handle
-            .0
-            .lock()
-            .unwrap()
-            .trace
-            .set_origin(Some(sim.node().id), self.cfg.scope);
+        // Stamp the (node, scope) origin onto every decision recorded
+        // until the next tick.
+        self.handle.0.lock().unwrap().origin = (Some(sim.node().id), self.cfg.scope);
         let records = sim.node_mut().drain_gc_records();
         let mut signal = self.monitor.observe(&records, &sim.node().heap);
         let hint = std::mem::take(&mut self.handle.0.lock().unwrap().pressure_hint);
@@ -448,17 +469,13 @@ impl Irs {
         }
         match signal {
             MemSignal::Reduce => {
-                let id =
-                    self.handle
-                        .trace_linked(sim.node().now, IrsEvent::ReduceSignal, EventId::NONE);
-                self.handle.0.lock().unwrap().last_signal = id;
+                let now = sim.node().now;
+                self.handle.record(now, TraceData::Signal { reduce: true });
                 self.handle_reduce(sim, hint.unwrap_or(ByteSize::ZERO))?;
             }
             MemSignal::Grow => {
-                let id =
-                    self.handle
-                        .trace_linked(sim.node().now, IrsEvent::GrowSignal, EventId::NONE);
-                self.handle.0.lock().unwrap().last_signal = id;
+                let now = sim.node().now;
+                self.handle.record(now, TraceData::Signal { reduce: false });
                 self.handle_grow(sim)?;
             }
             MemSignal::Steady => self.assist_growth(sim)?,
@@ -479,7 +496,6 @@ impl Irs {
                 };
                 if let Some(act) = choice {
                     self.activate(sim, act);
-                    self.handle.stats_mut(|st| st.grows += 1);
                 }
             }
         }
@@ -513,48 +529,8 @@ impl Irs {
             .serialize_target(&sim.node().heap)
             .max(needed.mul_ratio(5, 2));
         // Stage 1: lazy serialization of queued partitions.
-        let order = {
-            let s = self.handle.0.lock().unwrap();
-            let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
-            serialization_order(
-                &s.queue,
-                &self.graph,
-                &running_tasks,
-                sim.node().now,
-                self.cfg.manager,
-            )
-        };
-        // All policy arithmetic uses *effective* free (capacity − live):
-        // serialization and interrupts turn live bytes into garbage, and
-        // the next allocation-triggered collection reclaims it — forcing
-        // collections here would only add pauses.
-        for pid in order {
-            if sim.node().heap.effective_free() >= target {
-                break;
-            }
-            let freed = {
-                let mut s = self.handle.0.lock().unwrap();
-                let Some(part) = s.queue.get_mut(pid) else {
-                    continue;
-                };
-                serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
-            };
-            if !freed.is_zero() {
-                self.handle.stats_mut(|st| {
-                    st.serializations += 1;
-                    st.reclaim.lazy_serialized += freed;
-                });
-                let sig = self.handle.0.lock().unwrap().last_signal;
-                self.handle.trace_linked(
-                    sim.node().now,
-                    IrsEvent::Serialized {
-                        partition: pid,
-                        freed,
-                    },
-                    sig,
-                );
-            }
-        }
+        let sig = self.handle.0.lock().unwrap().last_signal;
+        self.serialize_until(sim, target, sig)?;
         // Stage 2: if still under the emergency line (`M%`, or the
         // blocked allocation), mark one victim for interrupt.
         let victim_line = self
@@ -572,10 +548,14 @@ impl Irs {
             if let Some(victim) = pick_victim(&candidates, &self.graph, self.cfg.victim_policy) {
                 let task = candidates[&victim].task;
                 s.terminate.insert(victim);
-                let sig = s.last_signal;
-                let mark =
-                    s.trace
-                        .record_linked(sim.node().now, IrsEvent::VictimMarked { task }, sig);
+                let cause = s.last_signal;
+                let mark = s.record(
+                    sim.node().now,
+                    TraceData::VictimMarked {
+                        task: task.as_u32(),
+                        cause,
+                    },
+                );
                 if mark.is_some() {
                     s.victim_marks.insert(victim, mark);
                 }
@@ -603,6 +583,22 @@ impl Irs {
                 return Ok(());
             }
         }
+        self.serialize_until(sim, threshold, EventId::NONE)?;
+        if sim.node().heap.effective_free() >= grow_gate {
+            self.handle_grow(sim)?;
+        }
+        Ok(())
+    }
+
+    /// Lazily serializes queued partitions in retention order
+    /// (temporal-locality + finish-line rules) until effective free
+    /// memory reaches `target`; each serialization links to `cause`.
+    fn serialize_until(
+        &mut self,
+        sim: &mut NodeSim,
+        target: ByteSize,
+        cause: EventId,
+    ) -> SimResult<()> {
         let order = {
             let s = self.handle.0.lock().unwrap();
             let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
@@ -614,33 +610,28 @@ impl Irs {
                 self.cfg.manager,
             )
         };
+        // All policy arithmetic uses *effective* free (capacity − live):
+        // serialization and interrupts turn live bytes into garbage, and
+        // the next allocation-triggered collection reclaims it — forcing
+        // collections here would only add pauses.
         for pid in order {
-            if sim.node().heap.effective_free() >= threshold {
+            if sim.node().heap.effective_free() >= target {
                 break;
             }
-            let freed = {
-                let mut s = self.handle.0.lock().unwrap();
-                let Some(part) = s.queue.get_mut(pid) else {
-                    continue;
-                };
-                serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
+            let mut s = self.handle.0.lock().unwrap();
+            let Some(part) = s.queue.get_mut(pid) else {
+                continue;
             };
+            let freed =
+                serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?;
             if !freed.is_zero() {
-                self.handle.stats_mut(|st| {
-                    st.serializations += 1;
-                    st.reclaim.lazy_serialized += freed;
-                });
-                self.handle.trace(
-                    sim.node().now,
-                    IrsEvent::Serialized {
-                        partition: pid,
-                        freed,
-                    },
-                );
+                let data = TraceData::Serialized {
+                    partition: pid.as_u32(),
+                    freed: freed.as_u64(),
+                    cause,
+                };
+                s.record(sim.node().now, data);
             }
-        }
-        if sim.node().heap.effective_free() >= grow_gate {
-            self.handle_grow(sim)?;
         }
         Ok(())
     }
@@ -669,7 +660,6 @@ impl Irs {
             };
             let Some(act) = choice else { return Ok(()) };
             self.activate(sim, act);
-            self.handle.stats_mut(|st| st.grows += 1);
         }
         Ok(())
     }
@@ -718,13 +708,13 @@ impl Irs {
         let kind = desc.kind;
         let thread = sim.spawn_scoped(Box::new(worker), self.cfg.scope);
         let mut s = self.handle.0.lock().unwrap();
-        s.trace.record_linked(
+        s.record(
             now,
-            IrsEvent::Activated {
-                task: task_id,
-                partitions: n_parts,
+            TraceData::Activated {
+                task: task_id.as_u32(),
+                partitions: n_parts as u32,
+                cause,
             },
-            cause,
         );
         s.instance_threads.insert(instance, thread);
         s.running.insert(

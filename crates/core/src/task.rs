@@ -17,6 +17,7 @@
 use std::any::Any;
 
 use simcluster::WorkCx;
+use simcore::tracer::{EventId, TraceData};
 use simcore::{ByteSize, CostModel, SimDuration, SimResult, SimTime, SpaceId, TaskId};
 
 use crate::partition::{Partition, Tag, Tuple, VecPartition};
@@ -185,7 +186,12 @@ impl<'a, 'b> TaskCx<'a, 'b> {
             let freed =
                 crate::manager::serialize_partition_mode(&mut part, self.work.node(), mode)?;
             if !freed.is_zero() {
-                self.shared.note_serialized_at_birth(freed);
+                let data = TraceData::Serialized {
+                    partition: part.meta().id.as_u32(),
+                    freed: freed.as_u64(),
+                    cause: EventId::NONE,
+                };
+                self.shared.record(self.work.now(), data);
             }
         }
         self.shared.push_partition(Box::new(part));

@@ -4,6 +4,7 @@
 use std::collections::VecDeque;
 
 use simcluster::{StepOutcome, Work, WorkCx};
+use simcore::tracer::TraceData;
 use simcore::{SimError, TaskId};
 
 use crate::manager::deserialize_partition_recovering;
@@ -129,33 +130,27 @@ impl ItaskWorker {
         // interrupt links to its victim-mark; emergencies are self-
         // inflicted and have none.
         let mark = self.handle.take_victim_mark(self.instance);
-        let interrupt = self.handle.trace_linked(
+        let interrupt = self.handle.record(
             cx.now(),
-            crate::trace::IrsEvent::Interrupted {
-                task: self.task_id,
+            TraceData::Interrupted {
+                task: self.task_id.as_u32(),
                 emergency,
+                cause: mark,
             },
-            mark,
         );
         // Unprocessed inputs go back to the queue for resumption.
         while let Some(part) = self.inputs.pop_front() {
             self.handle.note_interrupt_origin(part.meta().id, interrupt);
             self.handle.push_partition(part);
         }
-        self.handle.stats_mut(|st| {
-            if emergency {
-                st.emergency_interrupts += 1;
-            } else {
-                st.interrupts += 1;
-            }
-        });
         self.handle.retire(self.instance);
         StepOutcome::Finished
     }
 
     /// The naïve baseline (§6.1): the thread dies without interrupt
     /// logic — partial output is discarded, the cursor resets, and the
-    /// whole partition is reprocessed from scratch later.
+    /// whole partition is reprocessed from scratch later. Deliberately
+    /// untraced: only the stats count the kill.
     fn do_kill_restart(&mut self, cx: &mut WorkCx<'_>, emergency: bool) -> StepOutcome {
         self.release_spaces(cx);
         while let Some(mut part) = self.inputs.pop_front() {
@@ -202,11 +197,9 @@ impl ItaskWorker {
         while let Some(part) = self.inputs.pop_front() {
             self.handle.push_partition(part);
         }
-        self.handle.stats_mut(|st| st.crash_salvaged_instances += 1);
-        self.handle.trace(
-            cx.now(),
-            crate::trace::IrsEvent::CrashSalvaged { task: self.task_id },
-        );
+        let task = self.task_id.as_u32();
+        self.handle
+            .record(cx.now(), TraceData::CrashSalvaged { task });
         self.handle.retire(self.instance);
         Ok(())
     }
@@ -262,10 +255,9 @@ impl Work for ItaskWorker {
                             });
                         }
                         if rec.corruption_rebuilds > 0 {
-                            self.handle.trace(
-                                cx.now(),
-                                crate::trace::IrsEvent::CorruptionRecovered { partition: pid },
-                            );
+                            let partition = pid.as_u32();
+                            self.handle
+                                .record(cx.now(), TraceData::CorruptionRecovered { partition });
                         }
                     }
                     Err(e) if e.is_oom() => {

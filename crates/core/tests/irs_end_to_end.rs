@@ -5,11 +5,14 @@
 //! the heap — and the run must be deterministic.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use itask_core::{
     offer_serialized, Irs, IrsConfig, Scale, Tag, TaskCx, TaskGraph, Tuple, TupleTask,
 };
 use simcluster::{NodeSim, NodeState};
+use simcore::metrics::{self, Metric};
+use simcore::tracer::{self, Event, EventId, RunTrace, TraceData};
 use simcore::{ByteSize, DetRng, NodeId, SimResult, TaskId};
 
 /// A word occurrence (~48 bytes as a Java string + tuple wrapper).
@@ -200,9 +203,19 @@ fn run_count_only(
     input: &[u32],
     chunk: usize,
 ) -> (BTreeMap<u32, u64>, Irs, NodeSim) {
+    run_count_with(IrsConfig::default(), heap_kib, input, chunk)
+}
+
+/// [`run_count_only`] under an explicit IRS configuration.
+fn run_count_with(
+    cfg: IrsConfig,
+    heap_kib: u64,
+    input: &[u32],
+    chunk: usize,
+) -> (BTreeMap<u32, u64>, Irs, NodeSim) {
     let mut graph = TaskGraph::new();
     let count = graph.add_task("count", || Box::new(Scale(CountWords::new(Dest::Final))));
-    let mut irs = Irs::new(graph, IrsConfig::default());
+    let mut irs = Irs::new(graph, cfg);
     let mut sim = node(heap_kib);
     let handle = irs.handle();
     for ch in input.chunks(chunk) {
@@ -264,9 +277,10 @@ fn input_far_larger_than_heap_completes() {
     assert!(irs.stats().deserializations > 0);
 }
 
-#[test]
-fn two_stage_pipeline_with_mitask_merge() {
-    let input = words(60_000, 2_000, 4);
+/// Builds the two-stage pipeline (count → tagged intermediates → MITask
+/// merge, Figures 6–7), offers `input` in serialized chunks and runs it
+/// to idle on a `heap_kib` heap. Returns the runtime and the merge id.
+fn run_two_stage(heap_kib: u64, input: &[u32]) -> (Irs, TaskId) {
     let mut graph = TaskGraph::new();
     let merge_id_holder: std::rc::Rc<std::cell::Cell<u32>> =
         std::rc::Rc::new(std::cell::Cell::new(0));
@@ -289,13 +303,20 @@ fn two_stage_pipeline_with_mitask_merge() {
     graph.connect(merge, merge);
 
     let mut irs = Irs::new(graph, IrsConfig::default());
-    let mut sim = node(1024);
+    let mut sim = node(heap_kib);
     let handle = irs.handle();
     for ch in input.chunks(2_000) {
         let items: Vec<WordT> = ch.iter().map(|&w| WordT(w)).collect();
         offer_serialized(&handle, sim.node_mut(), count, Tag(0), items).unwrap();
     }
     irs.run_to_idle(&mut sim).expect("pipeline must survive");
+    (irs, merge)
+}
+
+#[test]
+fn two_stage_pipeline_with_mitask_merge() {
+    let input = words(60_000, 2_000, 4);
+    let (mut irs, merge) = run_two_stage(1024, &input);
 
     let mut merged: BTreeMap<u32, u64> = BTreeMap::new();
     let outs = irs.take_final_outputs();
@@ -344,31 +365,135 @@ fn serialized_offers_cost_no_heap() {
     assert!(sim.node().disk.used() > ByteSize::ZERO);
 }
 
+/// Tests that arm the process-global tracer and metrics planes
+/// serialize on this lock, so none observes another's armed window.
+static ARMED: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the tracer (and, when `metered`, the metrics plane)
+/// armed around one run buffer; returns `f`'s result and the harvest.
+fn armed<R>(metered: bool, f: impl FnOnce() -> R) -> (R, RunTrace) {
+    let _g = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+    tracer::enable();
+    if metered {
+        metrics::enable();
+    }
+    tracer::begin_run();
+    let r = f();
+    let run = tracer::take_run().expect("armed run installs a buffer");
+    tracer::disable();
+    metrics::disable();
+    (r, run)
+}
+
+fn count(run: &RunTrace, pred: impl Fn(&TraceData) -> bool) -> usize {
+    run.iter().filter(|e| pred(&e.data)).count()
+}
+
 #[test]
 fn decision_trace_records_the_pressure_story() {
     let input = words(50_000, 5_000, 2);
-    let mut graph = TaskGraph::new();
-    let count = graph.add_task("count", || Box::new(Scale(CountWords::new(Dest::Final))));
-    let mut irs = Irs::new(graph, IrsConfig::default());
-    irs.enable_trace();
-    let mut sim = node(448);
-    let handle = irs.handle();
-    for ch in input.chunks(2_000) {
-        let items: Vec<WordT> = ch.iter().map(|&w| WordT(w)).collect();
-        offer_serialized(&handle, sim.node_mut(), count, Tag(0), items).unwrap();
+    let scope = 7;
+    let cfg = IrsConfig {
+        scope: Some(scope),
+        ..IrsConfig::default()
+    };
+    let (_, run) = armed(false, || run_count_with(cfg, 448, &input, 2_000));
+    let irs: Vec<&Event> = run
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.data,
+                TraceData::Signal { .. }
+                    | TraceData::VictimMarked { .. }
+                    | TraceData::Interrupted { .. }
+                    | TraceData::Serialized { .. }
+                    | TraceData::Activated { .. }
+                    | TraceData::CrashSalvaged { .. }
+                    | TraceData::CorruptionRecovered { .. }
+            )
+        })
+        .collect();
+    // Every decision carries the IRS's (node, scope) origin.
+    for e in &irs {
+        assert_eq!((e.node, e.scope), (Some(NodeId(0)), Some(scope)), "{e:?}");
     }
-    irs.run_to_idle(&mut sim).expect("must survive");
-    let trace = irs.trace();
-    use itask_core::IrsEvent;
     // Activations cover every partition at least once.
-    let activations = trace.count_where(|e| matches!(e, IrsEvent::Activated { .. }));
+    let activations = count(&run, |d| matches!(d, TraceData::Activated { .. }));
     assert!(activations >= 25, "activations: {activations}");
     // The pressure story is visible: interrupts were traced with their
-    // kind, and timestamps never go backwards.
-    let interrupts = trace.count_where(|e| matches!(e, IrsEvent::Interrupted { .. }));
+    // kind, and within each emitting stream (`id >> 32`) the decisions'
+    // timestamps never go backwards in emission (id) order.
+    let interrupts = count(&run, |d| matches!(d, TraceData::Interrupted { .. }));
     assert!(interrupts > 0);
-    assert!(trace.events().windows(2).all(|w| w[0].at <= w[1].at));
-    // Tracing is opt-in: an untraced run records nothing.
-    let (_, irs2, _) = run_count_only(448, &input, 2_000);
-    assert!(irs2.trace().events().is_empty());
+    let mut by_stream: BTreeMap<u64, Vec<&Event>> = BTreeMap::new();
+    for e in &irs {
+        by_stream.entry(e.id.0 >> 32).or_default().push(e);
+    }
+    for events in by_stream.values_mut() {
+        events.sort_by_key(|e| e.id);
+        assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+    // Scheduled interrupts link back along signal → mark → interrupt.
+    let by_id: BTreeMap<EventId, &Event> = run.iter().map(|e| (e.id, e)).collect();
+    let mut linked = 0;
+    for e in &irs {
+        let TraceData::Interrupted { cause, .. } = e.data else {
+            continue;
+        };
+        if !cause.is_some() {
+            continue;
+        }
+        let Some(TraceData::VictimMarked { cause: signal, .. }) =
+            by_id.get(&cause).map(|m| &m.data)
+        else {
+            panic!("interrupt cause is not a victim mark: {e:?}");
+        };
+        assert!(
+            matches!(
+                by_id.get(signal).map(|s| &s.data),
+                Some(TraceData::Signal { reduce: true })
+            ),
+            "victim mark cause is not a REDUCE signal: {e:?}"
+        );
+        linked += 1;
+    }
+    assert!(linked > 0, "no scheduled interrupt was linked to its mark");
+}
+
+#[test]
+fn every_serialization_reaches_stats_trace_and_metrics() {
+    // Tagged intermediates born under pressure are serialized at birth
+    // (write-behind); those decisions must land in all three views.
+    let input = words(60_000, 2_000, 4);
+    let ((irs, _), run) = armed(true, || run_two_stage(448, &input));
+    let st = irs.stats();
+    let serialized: Vec<&Event> = run
+        .iter()
+        .filter(|e| matches!(e.data, TraceData::Serialized { .. }))
+        .collect();
+    // Write-behind runs inside a node round, so its events carry the
+    // node's stream id; the controller's lazy serializations draw from
+    // the driver stream (0).
+    let write_behind = serialized.iter().filter(|e| e.id.0 >> 32 != 0).count();
+    assert!(
+        write_behind > 0,
+        "no write-behind serialization was traced: {st:?}"
+    );
+    let freed: u64 = serialized
+        .iter()
+        .map(|e| match e.data {
+            TraceData::Serialized { freed, .. } => freed,
+            _ => unreachable!(),
+        })
+        .sum();
+    let finals = metrics::fold(&run, metrics::cadence_ns()).finals();
+    let metric = |m: Metric| finals.get(&(0, m)).copied().unwrap_or(0) as u64;
+    assert_eq!(serialized.len() as u64, st.serializations);
+    assert_eq!(metric(Metric::IrsSerialized), st.serializations);
+    assert_eq!(freed, metric(Metric::IrsSerializedBytes));
+    assert_eq!(freed, st.reclaim.lazy_serialized.as_u64());
+    let interrupts = count(&run, |d| matches!(d, TraceData::Interrupted { .. })) as u64;
+    assert!(interrupts > 0);
+    assert_eq!(interrupts, metric(Metric::IrsInterrupts));
+    assert_eq!(interrupts, st.interrupts + st.emergency_interrupts);
 }

@@ -162,18 +162,6 @@ impl EventLog {
             }
         }
     }
-
-    /// Merges another log's series into this one (used to combine
-    /// per-node logs into a cluster view). One index lookup per series,
-    /// not per sample.
-    pub fn merge(&mut self, other: &EventLog) {
-        for s in &other.series {
-            let i = self.series_index(&s.name);
-            for sample in &s.samples {
-                self.series[i].push(sample.at, sample.value);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -217,16 +205,16 @@ mod tests {
     }
 
     #[test]
-    fn log_creates_and_merges_series() {
-        let mut a = EventLog::new();
-        a.record("heap", t(0), 1.0);
-        let mut b = EventLog::new();
-        b.record("heap", t(1), 2.0);
-        b.record("threads", t(1), 4.0);
-        a.merge(&b);
-        assert_eq!(a.series("heap").unwrap().samples.len(), 2);
-        assert_eq!(a.series("threads").unwrap().samples.len(), 1);
-        assert!(a.series("missing").is_none());
+    fn log_creates_and_looks_up_series() {
+        let mut log = EventLog::new();
+        log.record("heap", t(0), 1.0);
+        log.record("heap", t(1), 2.0);
+        log.record("threads", t(1), 4.0);
+        assert_eq!(log.series("heap").unwrap().samples.len(), 2);
+        assert_eq!(log.series("threads").unwrap().samples.len(), 1);
+        assert!(log.series("missing").is_none());
+        let names: Vec<&str> = log.all().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["heap", "threads"]);
     }
 
     #[test]

@@ -679,7 +679,10 @@ pub(crate) fn emit_raw(
     })
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal (quotes,
+/// backslashes and control characters). Every JSON writer in the
+/// workspace shares this one.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -19,8 +19,8 @@
 //!   each other, and can be torn down surgically.
 //! - [`service`] — the scheduling loop tying it together, with
 //!   per-tenant SLO accounting (latency and queue-wait quantiles via
-//!   the deterministic [`sketch`], OME/retry/failure counts) and an
-//!   event log of service gauges.
+//!   the deterministic [`sketch`] and OME/retry/failure counts); its
+//!   time series are the `serve.*` metrics.
 //! - [`overload`] — survival controls for sustained OME storms:
 //!   deadline-aware shedding, per-tenant retry token budgets with
 //!   seeded exponential backoff, a per-node storm circuit breaker
